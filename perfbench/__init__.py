@@ -1,0 +1,7 @@
+"""The repository benchmark: three workloads, end-to-end and per-layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+This package must not import ``repro`` at import time: ``run.py`` first
+checks that the program's source is present.
+"""
