@@ -25,6 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.thresholds import threshold_table
+from repro.exec.backends import BACKEND_NAMES
 from repro.experiments.registry import REGISTRY, all_experiments, get_experiment
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import byzantine_broadcast_scenario
@@ -93,24 +94,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if outcome.safe else 1
 
 
-def _cli_backend(args: argparse.Namespace):
-    """Resolve the --backend/--worker flags into a SweepExecutor
-    ``backend`` argument (``None`` keeps the workers-derived default).
-
-    Raises :class:`~repro.errors.ConfigurationError` on a bad
-    combination (e.g. ``--backend socket`` with no ``--worker``).
-    """
-    if not getattr(args, "backend", None):
-        return None
-    from repro.exec import make_backend
-
-    return make_backend(
-        args.backend,
-        workers=args.workers,
-        worker_addrs=getattr(args, "worker", None),
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -122,7 +105,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         koo_impossibility_bound,
         crash_linf_threshold,
     )
-    from repro.exec import ResultCache, SweepExecutor, default_cache_dir
+    from repro.errors import ConfigurationError
+    from repro.exec import (
+        ResultCache,
+        ScenarioSpec,
+        SweepExecutor,
+        default_cache_dir,
+    )
 
     if args.resume and args.no_cache:
         print(
@@ -130,46 +119,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.engine == "fastpath" and args.kind == "byzantine":
-        from repro.radio.engines import (
-            FASTPATH_BYZANTINE_PROTOCOLS,
-            FASTPATH_FIXED_STRATEGIES,
-        )
-
-        byz_protocol = args.protocol or "bv-two-hop"
-        if byz_protocol not in FASTPATH_BYZANTINE_PROTOCOLS:
-            print(
-                f"repro sweep: protocol {byz_protocol!r} has no "
-                "Byzantine-capable fastpath kernel (supported: "
-                f"{FASTPATH_BYZANTINE_PROTOCOLS}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
-        if args.strategy not in FASTPATH_FIXED_STRATEGIES:
-            print(
-                f"repro sweep: Byzantine strategy {args.strategy!r} runs "
-                "arbitrary node code (no fixed-strategy kernel; "
-                f"supported: {FASTPATH_FIXED_STRATEGIES}); drop "
-                "--engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache_dir = (
             pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         )
         cache = ResultCache(cache_dir)
-    from repro.errors import ConfigurationError
-
-    try:
-        backend = _cli_backend(args)
-    except ConfigurationError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
-    executor = SweepExecutor(
-        workers=args.workers, cache=cache, backend=backend
-    )
 
     if args.budgets:
         budgets = list(args.budgets)
@@ -177,36 +132,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budgets = list(range(0, koo_impossibility_bound(args.r) + 2))
     else:
         budgets = list(range(0, crash_linf_threshold(args.r) + 2))
-
-    if args.resume:
-        from repro.exec import ScenarioSpec
-
-        specs = [
-            ScenarioSpec(
-                kind=args.kind,
-                r=args.r,
-                t=t,
-                trials=args.trials,
-                protocol=args.protocol
-                or ("bv-two-hop" if args.kind == "byzantine" else "crash-flood"),
-                strategy=args.strategy if args.kind == "byzantine" else None,
-                placement="random",
-                metric=args.metric,
-                engine=args.engine,
-                topology=args.topology,
-                channel=args.channel,
-            )
-            for t in budgets
-        ]
-        done, total = executor.checkpointed(specs, root_seed=args.seed)
-        print(f"resume: {done}/{total} work units already checkpointed")
-
     protocol = args.protocol or (
         "bv-two-hop" if args.kind == "byzantine" else "crash-flood"
     )
-    from repro.errors import ConfigurationError
 
     try:
+        executor = SweepExecutor(
+            args.backend, cache=cache, workers=args.workers
+        )
+        if args.resume:
+            specs = [
+                ScenarioSpec(
+                    kind=args.kind,
+                    r=args.r,
+                    t=t,
+                    trials=args.trials,
+                    protocol=protocol,
+                    strategy=(
+                        args.strategy if args.kind == "byzantine" else None
+                    ),
+                    placement="random",
+                    metric=args.metric,
+                    engine=args.engine,
+                    topology=args.topology,
+                    channel=args.channel,
+                )
+                for t in budgets
+            ]
+            done, total = executor.checkpointed(specs, root_seed=args.seed)
+            print(f"resume: {done}/{total} work units already checkpointed")
         if args.kind == "byzantine":
             run = byzantine_sharpness_run(
                 args.r,
@@ -325,9 +279,8 @@ def _cmd_runtable(args: argparse.Namespace) -> int:
         )
         cache = ResultCache(cache_dir)
     try:
-        backend = _cli_backend(args)
         executor = SweepExecutor(
-            workers=args.workers, cache=cache, backend=backend
+            args.backend, cache=cache, workers=args.workers
         )
         result = execute_runtable(table, executor=executor, root_seed=args.seed)
     except ConfigurationError as exc:
@@ -437,32 +390,9 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.adversary import SearchConfig, certify_result, run_search
+    from repro.errors import ConfigurationError
     from repro.exec import ResultCache, default_cache_dir
 
-    if args.engine == "fastpath" and args.kind == "byzantine":
-        from repro.radio.engines import (
-            FASTPATH_BYZANTINE_PROTOCOLS,
-            FASTPATH_FIXED_STRATEGIES,
-        )
-
-        byz_protocol = args.protocol or "bv-two-hop"
-        if byz_protocol not in FASTPATH_BYZANTINE_PROTOCOLS:
-            print(
-                f"repro adversary: protocol {byz_protocol!r} has no "
-                "Byzantine-capable fastpath kernel (supported: "
-                f"{FASTPATH_BYZANTINE_PROTOCOLS}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
-        if args.byz_strategy not in FASTPATH_FIXED_STRATEGIES:
-            print(
-                f"repro adversary: Byzantine strategy "
-                f"{args.byz_strategy!r} runs arbitrary node code (no "
-                "fixed-strategy kernel; supported: "
-                f"{FASTPATH_FIXED_STRATEGIES}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache_dir = (
@@ -480,13 +410,17 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         seed=args.seed,
         eval_budget=args.budget,
     )
-    result = run_search(
-        config,
-        strategy=args.strategy,
-        workers=args.workers,
-        cache=cache,
-        engine=args.engine,
-    )
+    try:
+        result = run_search(
+            config,
+            strategy=args.strategy,
+            workers=args.workers,
+            cache=cache,
+            engine=args.engine,
+        )
+    except ConfigurationError as exc:
+        print(f"repro adversary: {exc}", file=sys.stderr)
+        return 2
     summary = {
         "kind": args.kind,
         "strategy": args.strategy,
@@ -543,10 +477,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         cache = ResultCache(cache_dir)
     service = CampaignService(
-        cache=cache,
-        backend=args.backend,
-        workers=args.workers,
-        worker_addrs=args.worker,
+        cache=cache, backend=args.backend, workers=args.workers
     )
     # bind first so the banner carries the real port (matters for --port 0)
     server = make_server(service, host=args.host, port=args.port, quiet=args.quiet)
@@ -562,26 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.exec import WorkerServer
-
-    worker = WorkerServer(
-        host=args.host, port=args.port, max_units=args.max_units
-    )
-    address = worker.start()
-    print(
-        f"repro worker: listening on {address[0]}:{address[1]}", flush=True
-    )
-    try:
-        while not worker.join(timeout=1.0):
-            pass
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        worker.stop()
     return 0
 
 
@@ -737,15 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--backend",
-        choices=["serial", "pool", "socket"],
+        choices=BACKEND_NAMES,
         help="execution backend (default: serial for --workers 1, else "
-        "pool; socket needs --worker, see docs/SERVICE.md)",
-    )
-    p_sweep.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
+        "pool)",
     )
     p_sweep.add_argument(
         "--no-cache",
@@ -816,15 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rt.add_argument(
         "--backend",
-        choices=["serial", "pool", "socket"],
+        choices=BACKEND_NAMES,
         help="execution backend (default: serial for --workers 1, else "
-        "pool; socket needs --worker, see docs/SERVICE.md)",
-    )
-    p_rt.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
+        "pool)",
     )
     p_rt.add_argument(
         "--no-cache",
@@ -982,18 +881,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        choices=["serial", "pool", "socket"],
+        choices=BACKEND_NAMES,
         default="serial",
         help="default execution backend for submissions",
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, help="pool-backend workers"
-    )
-    p_serve.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
     )
     p_serve.add_argument(
         "--no-cache",
@@ -1009,25 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the access log"
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="run one socket-backend execution worker",
-        description="Start a long-lived work-unit executor for the socket "
-        "backend (see docs/SERVICE.md): it handshakes repro version + "
-        "cache-key schema with each coordinator, then executes shipped "
-        "work units until stopped.",
-    )
-    p_worker.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_worker.add_argument(
-        "--port", type=int, default=0, help="bind port (0: ephemeral)"
-    )
-    p_worker.add_argument(
-        "--max-units",
-        type=int,
-        help="exit abruptly after N units (failure-injection testing)",
-    )
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_lint = sub.add_parser(
         "lint",

@@ -12,13 +12,14 @@ the simulator's reproducibility contract:
 - :mod:`repro.exec.cache` -- sharded, content-addressed on-disk
   memoization of completed work units (also the checkpoint/resume
   mechanism);
-- :mod:`repro.exec.backends` -- pluggable execution backends behind one
-  protocol: in-process ``serial``, one-box ``pool``, multi-host
-  ``socket``;
-- :mod:`repro.exec.campaign` -- the backend-agnostic campaign manager
-  (cache-before-submit, checkpoint-on-complete, ordered finalization);
-- :mod:`repro.exec.executor` -- the stable :class:`SweepExecutor` facade
-  over all of the above, plus execution statistics.
+- :mod:`repro.exec.backends` -- execution backends behind one
+  protocol: in-process ``serial`` and one-box ``pool``;
+- :mod:`repro.exec.campaign` -- :class:`CampaignRunner` (public alias
+  :data:`SweepExecutor`), the one orchestration class: backend
+  resolution, cache-before-submit, checkpoint-on-complete, ordered
+  finalization;
+- :mod:`repro.exec.executor` -- execution statistics, unit cache keys
+  and the worker entry point.
 
 See ``docs/EXECUTION.md`` for the design and the CLI (``repro sweep``),
 and ``docs/SERVICE.md`` for the long-running campaign service built on
@@ -31,9 +32,6 @@ from repro.exec.backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerClient,
-    WorkerServer,
     make_backend,
 )
 from repro.exec.cache import (
@@ -44,11 +42,15 @@ from repro.exec.cache import (
     content_key,
     default_cache_dir,
 )
-from repro.exec.campaign import CampaignRunner, UnitState, plan_units
+from repro.exec.campaign import (
+    CampaignRunner,
+    SweepExecutor,
+    UnitState,
+    plan_units,
+)
 from repro.exec.executor import (
     DEFAULT_CHUNK_SIZE,
     ExecStats,
-    SweepExecutor,
     SweepRunResult,
     unit_cache_key,
 )
@@ -84,12 +86,9 @@ __all__ = [
     "SEED_BITS",
     "ScenarioSpec",
     "SerialBackend",
-    "SocketBackend",
     "SweepExecutor",
     "SweepRunResult",
     "UnitState",
-    "WorkerClient",
-    "WorkerServer",
     "build_scenario",
     "code_version_tag",
     "content_key",

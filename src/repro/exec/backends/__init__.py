@@ -1,26 +1,24 @@
 """Pluggable execution backends for the sweep tier.
 
-Three implementations of one tiny protocol
+Two implementations of one tiny protocol
 (:class:`~repro.exec.backends.base.ExecutionBackend`):
 
-========  ==================================================  ===========
+========  ==================================================  ======
 name      runs units                                          scale
-========  ==================================================  ===========
+========  ==================================================  ======
 serial    in the calling process, in order                    1 core
 pool      across a ``multiprocessing`` pool (fork)            1 box
-socket    on long-lived workers reached over TCP              many boxes
-========  ==================================================  ===========
+========  ==================================================  ======
 
 Pick one by name through :func:`make_backend` (what the ``--backend``
-CLI flag resolves through), or construct the class directly.  All three
-compute byte-identical rows for the same plan -- the campaign manager
+CLI flag resolves through), or construct the class directly; tests plug
+fake backends in through the same protocol.  Both compute
+byte-identical rows for the same plan -- the campaign manager
 (:mod:`repro.exec.campaign`) owns ordering and caching, so switching
 backends mid-study is invisible in the output.
 """
 
 from __future__ import annotations
-
-from typing import Any, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.exec.backends.base import (
@@ -31,39 +29,22 @@ from repro.exec.backends.base import (
 )
 from repro.exec.backends.pool import PoolBackend
 from repro.exec.backends.serial import SerialBackend
-from repro.exec.backends.socket import (
-    SocketBackend,
-    WorkerClient,
-    WorkerServer,
-)
 
 #: Registry of backend names accepted by ``--backend``.
-BACKEND_NAMES = ("serial", "pool", "socket")
+BACKEND_NAMES = ("serial", "pool")
 
 
-def make_backend(
-    name: str,
-    workers: int = 1,
-    worker_addrs: Optional[Sequence[Any]] = None,
-) -> ExecutionBackend:
+def make_backend(name: str, workers: int = 1) -> ExecutionBackend:
     """Build an execution backend by registry name.
 
-    ``workers`` sizes the pool backend (ignored by serial);
-    ``worker_addrs`` (``host:port`` strings) is required by -- and only
-    meaningful for -- the socket backend.  Unknown names raise
-    :class:`~repro.errors.ConfigurationError` listing the registry.
+    ``workers`` sizes the pool backend (ignored by serial).  Unknown
+    names raise :class:`~repro.errors.ConfigurationError` listing the
+    registry.
     """
     if name == "serial":
         return SerialBackend()
     if name == "pool":
         return PoolBackend(workers=max(1, workers))
-    if name == "socket":
-        if not worker_addrs:
-            raise ConfigurationError(
-                "socket backend requires worker addresses "
-                "(--worker host:port, repeatable)"
-            )
-        return SocketBackend(worker_addrs)
     raise ConfigurationError(
         f"unknown backend {name!r}; expected one of "
         + ", ".join(BACKEND_NAMES)
@@ -76,10 +57,7 @@ __all__ = [
     "ExecutionBackend",
     "PoolBackend",
     "SerialBackend",
-    "SocketBackend",
     "UnitFunction",
     "UnitPayload",
-    "WorkerClient",
-    "WorkerServer",
     "make_backend",
 ]

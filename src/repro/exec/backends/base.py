@@ -4,8 +4,9 @@ scales through.
 A backend executes *work units*: ``(spec_dict, root_seed, indices)``
 payloads handed to a module-level worker function (today always
 :func:`repro.exec.executor._run_unit`).  The contract is deliberately
-tiny so backends can range from "call the function in a loop" to "ship
-pickles to long-lived workers on other hosts":
+tiny -- ``serial`` calls the function in a loop, ``pool`` fans it out
+over ``multiprocessing``, and tests substitute fakes that reorder or
+drop completions:
 
 - :meth:`ExecutionBackend.run_units` receives the worker function and
   the payload list and *yields* ``(payload_index, rows)`` pairs as units
@@ -17,15 +18,14 @@ pickles to long-lived workers on other hosts":
   lint pass, which treats every ``run_units`` call site as a submission
   boundary (:mod:`repro.lint.analysis.forksafety`);
 - a backend raises :class:`BackendError` when it can no longer make
-  progress (every worker lost, handshake rejected); transient worker
-  death is the backend's problem to hide (requeue), not the caller's.
+  progress.
 
 Determinism contract: because every unit's rows are a pure function of
 its payload (seeds are derived, never drawn), *which* backend runs a
-unit -- and on which host, after how many requeues -- cannot change the
-rows.  The campaign layer therefore shares one content-addressed cache
-across all backends, and identical sweeps rerun at 100% hits on any of
-them (pinned by ``tests/test_exec_campaign.py``).
+unit -- and in which process -- cannot change the rows.  The campaign
+layer therefore shares one content-addressed cache across all backends,
+and identical sweeps rerun at 100% hits on any of them (pinned by
+``tests/test_exec_campaign.py``).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ReproError
 
-#: One work unit as shipped across a process/host boundary:
+#: One work unit as shipped across a process boundary:
 #: ``(spec.as_dict(), root_seed, trial_indices)`` -- plain data,
-#: picklable under every start method and every wire.
+#: picklable under every start method.
 UnitPayload = Tuple[Dict[str, Any], int, Tuple[int, ...]]
 
 #: The worker-function shape every backend executes.
@@ -46,11 +46,10 @@ UnitFunction = Callable[[UnitPayload], List[Dict[str, Any]]]
 class BackendError(ReproError):
     """An execution backend can no longer make progress.
 
-    Raised when a backend is down to zero usable workers (all
-    handshakes rejected, every connection dead) with units still
-    outstanding, or when a worker reports that the unit function itself
-    raised.  Unit results already completed remain valid (and cached);
-    the campaign fails only for what could not be computed.
+    Raised by the campaign manager when a backend finishes without
+    completing every unit it was handed.  Unit results already
+    completed remain valid (and cached); the campaign fails only for
+    what could not be computed.
     """
 
 
@@ -58,7 +57,7 @@ class ExecutionBackend:
     """Base class for execution backends (see the module docstring).
 
     Subclasses implement :meth:`run_units`; ``name`` is the registry
-    key (``serial`` / ``pool`` / ``socket``) and ``workers`` the
+    key (``serial`` / ``pool``) and ``workers`` the
     parallelism the backend reports into :class:`~repro.exec.executor.
     ExecStats`.
     """
@@ -67,6 +66,8 @@ class ExecutionBackend:
     name: str = "base"
     #: parallelism reported into execution stats
     workers: int = 1
+    #: units accepted by the running :meth:`run_units`, not yet yielded
+    _queue_depth: int = 0
 
     def run_units(
         self, fn: UnitFunction, payloads: List[UnitPayload]
@@ -83,18 +84,18 @@ class ExecutionBackend:
         """Live-state snapshot for observability (Prometheus export).
 
         Keys: ``backend`` (name), ``queue_depth`` (units accepted but
-        not yet completed), ``workers_total`` / ``workers_live``.
-        Thread-safe to call while :meth:`run_units` is draining.
+        not yet completed) and ``workers_total``.  Thread-safe to call
+        while :meth:`run_units` is draining.
         """
         return {
             "backend": self.name,
-            "queue_depth": 0,
+            "queue_depth": self._queue_depth,
             "workers_total": self.workers,
-            "workers_live": self.workers,
         }
 
     def close(self) -> None:
-        """Release backend resources (sockets, pools); idempotent."""
+        """Release resources held between runs; idempotent, and the
+        backend stays usable afterwards."""
 
     def __enter__(self) -> "ExecutionBackend":
         """Context-manager entry: the backend itself."""

@@ -49,7 +49,6 @@ class PoolBackend(ExecutionBackend):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._queue_depth = 0
 
     def run_units(
         self, fn: UnitFunction, payloads: List[UnitPayload]
@@ -78,12 +77,3 @@ class PoolBackend(ExecutionBackend):
                     yield index, rows
         finally:
             self._queue_depth = 0
-
-    def status(self) -> Dict[str, Any]:
-        """Queue depth while draining; pool workers counted as live."""
-        return {
-            "backend": self.name,
-            "queue_depth": self._queue_depth,
-            "workers_total": self.workers,
-            "workers_live": self.workers,
-        }

@@ -1,4 +1,4 @@
-"""The in-process serial backend: no pool, no pickling, no sockets.
+"""The in-process serial backend: no pool, no pickling.
 
 The reference implementation of the :class:`~repro.exec.backends.base.
 ExecutionBackend` contract and the fallback wherever parallelism is
@@ -20,9 +20,6 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     workers = 1
 
-    def __init__(self) -> None:
-        self._queue_depth = 0
-
     def run_units(
         self, fn: UnitFunction, payloads: List[UnitPayload]
     ) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
@@ -35,12 +32,3 @@ class SerialBackend(ExecutionBackend):
                 yield index, rows
         finally:
             self._queue_depth = 0
-
-    def status(self) -> Dict[str, Any]:
-        """Queue depth while draining; one worker, always live."""
-        return {
-            "backend": self.name,
-            "queue_depth": self._queue_depth,
-            "workers_total": 1,
-            "workers_live": 1,
-        }

@@ -1,4 +1,4 @@
-"""The campaign manager: backend-agnostic sweep orchestration.
+"""The campaign manager: the one class that runs a sweep.
 
 :class:`CampaignRunner` sits between the planning/caching layer and a
 pluggable :class:`~repro.exec.backends.base.ExecutionBackend`.  The
@@ -18,6 +18,12 @@ division of labor:
   sees byte-identical output no matter which backend ran the sweep or
   how completion interleaved.
 
+The runner also resolves its backend (a registry name, a ready
+instance, or ``None`` for serial/pool by ``workers``), closes the
+backends it built itself, answers the resume probe
+(:meth:`CampaignRunner.checkpointed`) and times every run.
+:data:`SweepExecutor` is the public alias every sweep caller uses.
+
 Progress counters (``units_total`` / ``units_completed`` /
 ``units_cached`` / ``units_failed``) are cumulative across runs and
 thread-safe to read mid-run -- the ``repro serve`` metrics endpoint
@@ -29,9 +35,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.backends.base import BackendError, ExecutionBackend
+from repro.errors import ConfigurationError
+from repro.exec.backends import BackendError, ExecutionBackend, make_backend
 from repro.exec.cache import ResultCache
 from repro.exec.executor import (
     DEFAULT_CHUNK_SIZE,
@@ -87,28 +94,52 @@ def plan_units(
 
 
 class CampaignRunner:
-    """Drive a sweep campaign through any execution backend.
+    """Run scenario sweeps: chunked, optionally parallel, optionally
+    cached, through any execution backend.
 
     Parameters
     ----------
     backend:
-        The :class:`ExecutionBackend` that computes pending units.
+        A registry name (``"serial"`` / ``"pool"``), a ready
+        :class:`ExecutionBackend` instance, or ``None`` (the default)
+        for ``serial`` when ``workers == 1`` and ``pool`` otherwise.  A
+        backend built here from a name is closed after every run; a
+        passed-in instance is never closed.
     cache:
         Shared :class:`ResultCache`, or ``None`` to always recompute.
         The cache is both memo and checkpoint: hits skip submission,
         and every completion is banked immediately.
     chunk_size:
         Trials per unit; part of cache-key identity, so keep it stable
-        across runs that should share entries.
+        across runs that should share entries (see
+        :data:`~repro.exec.executor.DEFAULT_CHUNK_SIZE`).
+    workers:
+        Pool size for a backend built here; ignored for an instance.
     """
 
     def __init__(
         self,
-        backend: ExecutionBackend,
+        backend: Union[str, ExecutionBackend, None] = None,
         cache: Optional[ResultCache] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
+        workers: int = 1,
     ) -> None:
-        self.backend = backend
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if chunk_size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {chunk_size}"
+            )
+        self.backend: ExecutionBackend
+        if isinstance(backend, ExecutionBackend):
+            self.backend = backend
+            self._owns_backend = False
+        else:
+            self.backend = make_backend(
+                backend or ("serial" if workers == 1 else "pool"),
+                workers=workers,
+            )
+            self._owns_backend = True
         self.cache = cache
         self.chunk_size = chunk_size
         self._lock = threading.Lock()
@@ -145,7 +176,11 @@ class CampaignRunner:
         self._bump("units_total", len(units))
         pending: List[UnitState] = []
         for unit in units:
-            cached = self.cache.get(unit.key) if self.cache else None
+            # ``is not None``, never truthiness: ``len(cache)`` lists
+            # the whole store
+            cached = (
+                self.cache.get(unit.key) if self.cache is not None else None
+            )
             if cached is not None and len(cached) == len(unit.indices):
                 unit.rows = cached
                 unit.from_cache = True
@@ -183,6 +218,9 @@ class CampaignRunner:
         except BackendError:
             self._bump("units_failed", len(units) - cursor)
             raise
+        finally:
+            if self._owns_backend:
+                self.backend.close()
         # everything after the last computed unit is cache hits
         while cursor < len(units):
             unit = units[cursor]
@@ -211,13 +249,28 @@ class CampaignRunner:
             },
         )
 
+    def checkpointed(
+        self, specs: Sequence[ScenarioSpec], root_seed: int = 0
+    ) -> Tuple[int, int]:
+        """``(cached_units, total_units)`` for a would-be run.
+
+        The resume probe: how much of the sweep an earlier (possibly
+        interrupted) run already banked under the current cache root.
+        """
+        units = plan_units(specs, root_seed, self.chunk_size)
+        if self.cache is None:
+            return 0, len(units)
+        done = sum(1 for u in units if self.cache.contains(u.key))
+        return done, len(units)
+
     def run(
         self, specs: Sequence[ScenarioSpec], root_seed: int = 0
     ) -> SweepRunResult:
         """Execute the campaign; per-spec rows in trial order plus stats.
 
         The batch form of :meth:`iter_finalized`: same units, same
-        bytes, assembled into one :class:`SweepRunResult`.
+        bytes, assembled into one :class:`SweepRunResult` whose stats
+        carry the run's wall clock.
         """
         started = time.perf_counter()
         stats = ExecStats()
@@ -225,9 +278,6 @@ class CampaignRunner:
         for unit in self.iter_finalized(specs, root_seed, stats=stats):
             assert unit.rows is not None
             per_spec[unit.spec_index].extend(unit.rows)
-        stats.trials_total = sum(s.trials for s in specs)
-        stats.workers = self.backend.workers
-        stats.cache_enabled = self.cache is not None
         stats.wall_clock_s = time.perf_counter() - started
         return SweepRunResult(rows=per_spec, stats=stats)
 
@@ -242,3 +292,8 @@ class CampaignRunner:
             }
         snapshot["backend"] = self.backend.status()
         return snapshot
+
+
+#: The public name every sweep caller uses (``SweepExecutor(workers=4,
+#: cache=...)``); the same class, not a wrapper.
+SweepExecutor = CampaignRunner

@@ -1,18 +1,17 @@
-"""The parallel, cached sweep executor.
+"""Execution accounting, unit identity and the worker entry point.
 
-:class:`SweepExecutor` turns a list of :class:`~repro.exec.specs.
-ScenarioSpec` into per-trial result rows.  Since the backend tier landed
-it is a thin, stable facade: planning and caching live in
-:mod:`repro.exec.campaign`, and the actual computation runs on a
-pluggable :class:`~repro.exec.backends.base.ExecutionBackend` --
-in-process (``serial``), one-box ``multiprocessing`` (``pool``), or
-remote workers over TCP (``socket``).  ``workers=1`` maps to serial,
-``workers>1`` to pool, and ``backend=`` overrides either with a name or
-a ready backend instance.
+The leaf module of the sweep tier, shared by the campaign manager
+(:mod:`repro.exec.campaign`, which owns planning, caching and
+orchestration) and every backend:
+
+- :class:`ExecStats` / :class:`SweepRunResult` -- what one run returns;
+- :func:`unit_cache_key` -- the content address of one work unit;
+- :func:`_run_unit` -- the module-level function each backend calls on
+  a work unit's plain-data payload.
 
 Determinism contract
 --------------------
-The executor's output is a pure function of ``(specs, root_seed)``:
+A sweep's output is a pure function of ``(specs, root_seed)``:
 
 - every trial's seed comes from :func:`~repro.exec.seeds.derive_seed`
   on ``(root_seed, spec.scenario_key(), trial_index)``, never from
@@ -21,18 +20,16 @@ The executor's output is a pure function of ``(specs, root_seed)``:
   regardless of worker count or backend;
 - results are finalized in trial-index order by the campaign manager.
 
-So serial, parallel, remote, cached, and resumed runs all produce
+So serial, parallel, cached, and resumed runs all produce
 byte-identical row lists -- pinned by ``tests/test_exec_golden.py`` and
 cross-backend by ``tests/test_exec_campaign.py``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, code_version_tag, content_key
 from repro.exec.seeds import derive_seed
 from repro.exec.specs import ScenarioSpec, run_trial
@@ -45,7 +42,8 @@ DEFAULT_CHUNK_SIZE = 4
 
 @dataclass
 class ExecStats:
-    """Execution accounting for one :meth:`SweepExecutor.run` call."""
+    """Execution accounting for one :meth:`~repro.exec.campaign.
+    CampaignRunner.run` call."""
 
     workers: int = 1
     units_total: int = 0
@@ -144,10 +142,9 @@ def _run_unit(
 ) -> List[Dict[str, Any]]:
     """Worker entry point: run one chunk of trials.
 
-    Takes a plain-data payload (picklable under every start method and
-    every backend wire) and returns the trial rows in index order.
-    Module-level so ``multiprocessing`` and the socket protocol can
-    ship it by reference.
+    Takes a plain-data payload (picklable under every start method) and
+    returns the trial rows in index order.  Module-level so
+    ``multiprocessing`` can ship it by reference.
     """
     spec_dict, root_seed, indices = payload
     spec = ScenarioSpec.from_dict(spec_dict)
@@ -156,113 +153,3 @@ def _run_unit(
         run_trial(spec, derive_seed(root_seed, key, index))
         for index in indices
     ]
-
-
-class SweepExecutor:
-    """Runs scenario sweeps: chunked, optionally parallel, optionally
-    cached.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count.  ``1`` (the default) runs every trial in
-        the calling process -- no pool, no pickling; ``>1`` fans out
-        over a ``multiprocessing`` pool on this box.
-    cache:
-        A :class:`ResultCache` for memoization and checkpoint/resume, or
-        ``None`` (the default) to always recompute.
-    chunk_size:
-        Trials per work unit; keep it identical between runs that should
-        share cache entries (see :data:`DEFAULT_CHUNK_SIZE`).
-    backend:
-        Execution-backend override: a registry name (``"serial"`` /
-        ``"pool"``) or a ready :class:`~repro.exec.backends.base.
-        ExecutionBackend` instance (how a ``socket`` fleet is plugged
-        in).  ``None`` derives serial/pool from ``workers``.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend: Optional[Union[str, "Any"]] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self.workers = workers
-        self.cache = cache
-        self.chunk_size = chunk_size
-        self.backend = backend
-
-    def _resolve_backend(self) -> "Any":
-        """Materialize the execution backend for one run."""
-        # local import: repro.exec.campaign imports this module
-        from repro.exec.backends import ExecutionBackend, make_backend
-
-        if isinstance(self.backend, ExecutionBackend):
-            return self.backend
-        if isinstance(self.backend, str):
-            return make_backend(self.backend, workers=self.workers)
-        return make_backend(
-            "serial" if self.workers == 1 else "pool", workers=self.workers
-        )
-
-    # -- planning -----------------------------------------------------------
-
-    def _plan(self, specs: Sequence[ScenarioSpec], root_seed: int):
-        """Chunk every spec's trial range into work units (see
-        :func:`repro.exec.campaign.plan_units`)."""
-        from repro.exec.campaign import plan_units
-
-        return plan_units(specs, root_seed, self.chunk_size)
-
-    def checkpointed(
-        self, specs: Sequence[ScenarioSpec], root_seed: int = 0
-    ) -> Tuple[int, int]:
-        """``(cached_units, total_units)`` for a would-be run.
-
-        The resume probe: how much of the sweep an earlier (possibly
-        interrupted) run already banked under the current cache root.
-        """
-        units = self._plan(specs, root_seed)
-        if self.cache is None:
-            return 0, len(units)
-        done = sum(1 for u in units if self.cache.contains(u.key))
-        return done, len(units)
-
-    # -- execution ----------------------------------------------------------
-
-    def run(
-        self, specs: Sequence[ScenarioSpec], root_seed: int = 0
-    ) -> SweepRunResult:
-        """Execute every trial of every spec; see the module docstring
-        for the determinism contract.
-
-        Returns one row list per spec (in spec order, rows in
-        trial-index order) plus :class:`ExecStats`.  Delegates to
-        :class:`~repro.exec.campaign.CampaignRunner` on the resolved
-        backend; a backend constructed here (rather than passed in) is
-        closed afterwards.
-        """
-        # local import: repro.exec.campaign imports this module
-        from repro.exec.backends import ExecutionBackend
-        from repro.exec.campaign import CampaignRunner
-
-        started = time.perf_counter()
-        backend = self._resolve_backend()
-        owns_backend = not isinstance(self.backend, ExecutionBackend)
-        try:
-            runner = CampaignRunner(
-                backend, cache=self.cache, chunk_size=self.chunk_size
-            )
-            result = runner.run(specs, root_seed=root_seed)
-        finally:
-            if owns_backend:
-                backend.close()
-        result.stats.wall_clock_s = time.perf_counter() - started
-        return result

@@ -44,7 +44,8 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.exec.executor import ExecStats, SweepExecutor
+from repro.exec.campaign import SweepExecutor
+from repro.exec.executor import ExecStats
 from repro.exec.specs import ScenarioSpec
 
 #: schema tag stamped on serialized tables and reports

@@ -16,10 +16,10 @@ GET       ``/healthz``          liveness probe
 
 The server is a ``ThreadingHTTPServer``: a long sweep executing inside
 its ``POST /sweeps`` request thread never blocks ``/metrics`` scrapes,
-which read the in-flight campaign's queue depth and worker liveness
-live.  All JSON responses are canonical (sorted keys), so identical
-submissions return byte-identical ``rows`` -- the property CI's
-``serve-smoke`` job asserts over this very interface.
+which read the in-flight campaign's queue depth live.  All JSON
+responses are canonical (sorted keys), so identical submissions return
+byte-identical ``rows`` -- the property CI's ``serve-smoke`` job
+asserts over this very interface.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ rows (CI's ``serve-smoke`` job pins exactly this).
 Observability: cumulative counters (sweeps, units, trials, rounds,
 messages) fold every finished campaign's accounting via
 :meth:`~repro.exec.executor.ExecStats.merge`; the in-flight campaign's
-queue depth and worker liveness are read live from its runner.
+queue depth is read live from its runner.
 :meth:`CampaignService.metrics_text` renders it all as Prometheus text
 (:mod:`repro.obs.prom`).
 """
@@ -24,15 +24,20 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.exec.backends import make_backend
 from repro.exec.cache import ResultCache
 from repro.exec.campaign import CampaignRunner, plan_units
 from repro.exec.executor import DEFAULT_CHUNK_SIZE, ExecStats
 from repro.exec.specs import ScenarioSpec
 from repro.obs.prom import MetricFamily, render_metrics
+
+#: Most work units one ``POST /sweeps`` may ask for.  Checked from the
+#: trial counts before any unit is planned, so a tiny body asking for
+#: ``trials=10**9`` is refused in microseconds instead of holding a
+#: request thread while a quarter-billion units are planned.
+MAX_UNITS_PER_SUBMISSION = 10_000
 
 
 def canonical_report(report: Dict[str, Any]) -> str:
@@ -54,8 +59,6 @@ class CampaignService:
         Default backend name for submissions that do not pick one.
     workers:
         Pool size for ``pool``-backend campaigns.
-    worker_addrs:
-        ``host:port`` fleet for ``socket``-backend campaigns.
     """
 
     def __init__(
@@ -63,12 +66,10 @@ class CampaignService:
         cache: Optional[ResultCache] = None,
         backend: str = "serial",
         workers: int = 1,
-        worker_addrs: Optional[Sequence[str]] = None,
     ) -> None:
         self.cache = cache
         self.default_backend = backend
         self.workers = workers
-        self.worker_addrs = list(worker_addrs or [])
         self._lock = threading.Lock()
         self._sweeps: Dict[str, Dict[str, Any]] = {}
         self._next_id = 1
@@ -87,7 +88,11 @@ class CampaignService:
 
     def _parse_request(self, request: Dict[str, Any]):
         """Validate a submission dict into (specs, root_seed,
-        chunk_size, backend_name)."""
+        chunk_size, backend_name).
+
+        Refuses a submission over :data:`MAX_UNITS_PER_SUBMISSION`
+        before anything is planned.
+        """
         if not isinstance(request, dict):
             raise ConfigurationError("sweep request must be a JSON object")
         raw_specs = request.get("specs")
@@ -101,6 +106,13 @@ class CampaignService:
         if chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1, got {chunk_size}"
+            )
+        units = sum(-(-spec.trials // chunk_size) for spec in specs)
+        if units > MAX_UNITS_PER_SUBMISSION:
+            raise ConfigurationError(
+                f"sweep asks for {units} work units; one submission may "
+                "ask for at most MAX_UNITS_PER_SUBMISSION = "
+                f"{MAX_UNITS_PER_SUBMISSION}"
             )
         backend_name = str(request.get("backend", self.default_backend))
         return specs, root_seed, chunk_size, backend_name
@@ -120,23 +132,19 @@ class CampaignService:
         specs, root_seed, chunk_size, backend_name = self._parse_request(
             request
         )
+        runner = CampaignRunner(
+            backend_name,
+            cache=self.cache,
+            chunk_size=chunk_size,
+            workers=self.workers,
+        )
         with self._lock:
             sweep_id = f"sweep-{self._next_id}"
             self._next_id += 1
             self._sweeps_total += 1
-        backend = make_backend(
-            backend_name,
-            workers=self.workers,
-            worker_addrs=self.worker_addrs or None,
-        )
-        runner = CampaignRunner(
-            backend, cache=self.cache, chunk_size=chunk_size
-        )
-        with self._lock:
             self._current_runner = runner
         try:
-            with backend:
-                result = runner.run(specs, root_seed=root_seed)
+            result = runner.run(specs, root_seed=root_seed)
         except ReproError as exc:
             with self._lock:
                 self._sweeps_failed += 1
@@ -255,7 +263,6 @@ class CampaignService:
                 "backend": self.default_backend,
                 "queue_depth": 0,
                 "workers_total": 0,
-                "workers_live": 0,
             }
         )
         label = {"backend": str(backend_status["backend"])}
@@ -269,13 +276,8 @@ class CampaignService:
                 MetricFamily(
                     "repro_backend_workers",
                     "gauge",
-                    "Backend workers, by liveness",
-                )
-                .add(
-                    backend_status["workers_live"],
-                    dict(label, state="live"),
-                )
-                .add(
+                    "Backend workers configured",
+                ).add(
                     backend_status["workers_total"],
                     dict(label, state="configured"),
                 ),

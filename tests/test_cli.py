@@ -24,6 +24,16 @@ class TestParser:
         assert args.r == 1 and args.trials == 8 and args.workers == 1
         assert not args.no_cache and not args.resume
 
+    def test_backend_has_two_choices(self):
+        parser = build_parser()
+        args = parser.parse_args(["sweep", "crash", "--backend", "pool"])
+        assert args.backend == "pool"
+        for argv in (["sweep", "crash"], ["runtable", "t.json"], ["serve"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--backend", "socket"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["worker"])
+
     def test_sweep_requires_kind(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "quantum"])
@@ -173,3 +183,36 @@ class TestTraceCommand:
         )
         out = capsys.readouterr().out
         assert "crashes=" in out
+
+
+#: a Byzantine scenario the fastpath engine has no kernel for
+FASTPATH_REFUSED = [
+    "byzantine", "--engine", "fastpath", "--protocol", "bv-two-hop",
+]
+
+
+class TestFastpathGate:
+    """The CLI leaves the Byzantine fastpath gate to ``ScenarioSpec``:
+    each command exits 2 with the spec's own message."""
+
+    SPEC_MESSAGE = "has no Byzantine-capable fastpath kernel"
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_sweep(self, capsys, tmp_path, resume):
+        argv = ["sweep"] + FASTPATH_REFUSED + [
+            "--budgets", "0", "--trials", "1",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv + (["--resume"] if resume else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep: ")
+        assert self.SPEC_MESSAGE in err
+
+    def test_adversary(self, capsys, tmp_path):
+        argv = ["adversary"] + FASTPATH_REFUSED + [
+            "--budget", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro adversary: ")
+        assert self.SPEC_MESSAGE in err

@@ -1,13 +1,5 @@
-"""Execution-backend tests: protocol conformance for serial/pool,
-socket wire protocol (handshake, liveness, requeue), and cross-backend
-row identity.
-
-The socket tests run real TCP over loopback with in-process
-:class:`WorkerServer` threads; worker death is injected with the
-``max_units`` hook (the worker computes a unit and vanishes without
-sending the result -- indistinguishable on the wire from a killed
-process).
-"""
+"""Execution-backend tests: the registry, protocol conformance for
+serial/pool, and cross-backend row identity."""
 
 from __future__ import annotations
 
@@ -16,14 +8,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec import ScenarioSpec
 from repro.exec.backends import (
-    BackendError,
+    BACKEND_NAMES,
     PoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerServer,
     make_backend,
 )
-from repro.exec.backends.socket import parse_worker_addr
 from repro.exec.executor import _run_unit
 
 CRASH = ScenarioSpec(kind="crash", r=1, t=1, trials=4, protocol="crash-flood")
@@ -54,33 +43,22 @@ def _echo(payload):
     return [{"seed": root_seed, "index": i} for i in indices]
 
 
-def _boom(payload):
-    """Unit function that always fails (unit-error path)."""
-    raise ValueError("intentional unit failure")
-
-
 class TestRegistry:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("pool", workers=3), PoolBackend)
 
-    def test_socket_needs_addresses(self):
-        with pytest.raises(ConfigurationError, match="worker"):
-            make_backend("socket")
+    def test_registry_is_single_box(self):
+        assert BACKEND_NAMES == ("serial", "pool")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            make_backend("carrier-pigeon")
+        for name in ("carrier-pigeon", "socket"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                make_backend(name)
 
     def test_pool_workers_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="workers"):
             PoolBackend(workers=0)
-
-    def test_parse_worker_addr(self):
-        assert parse_worker_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
-        assert parse_worker_addr(("h", 1)) == ("h", 1)
-        with pytest.raises(ConfigurationError, match="host:port"):
-            parse_worker_addr("no-port-here")
 
 
 class TestProtocolConformance:
@@ -117,102 +95,17 @@ class TestProtocolConformance:
     def test_status_shape(self):
         for backend in (SerialBackend(), PoolBackend(workers=2)):
             status = backend.status()
-            assert set(status) == {
-                "backend",
-                "queue_depth",
-                "workers_total",
-                "workers_live",
-            }
+            assert set(status) == {"backend", "queue_depth", "workers_total"}
             assert status["queue_depth"] == 0
+            assert status["workers_total"] == backend.workers
 
-
-@pytest.fixture
-def worker():
-    """One live in-process socket worker (ephemeral port)."""
-    server = WorkerServer()
-    server.start()
-    yield server
-    server.stop()
-
-
-class TestSocketBackend:
-    def test_runs_units_over_tcp(self, worker):
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        out = dict(backend.run_units(_echo, _payloads()))
-        assert sorted(out) == [0, 1, 2]
-        assert worker.units_done == 3
-
-    def test_matches_serial_rows(self, worker):
-        payloads = _payloads()
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        assert dict(backend.run_units(_run_unit, payloads)) == dict(
-            SerialBackend().run_units(_run_unit, payloads)
-        )
-
-    def test_no_worker_at_address(self):
-        # port 1 on loopback: nothing listens there
-        backend = SocketBackend(
-            [("127.0.0.1", 1)], connect_timeout_s=0.5
-        )
-        with pytest.raises(BackendError, match="no usable workers"):
-            list(backend.run_units(_echo, _payloads(1)))
-
-    def test_version_skew_rejected(self):
-        """A worker on a different cache-key schema refuses the
-        handshake -- it must not compute rows under the wrong keys."""
-        server = WorkerServer(schema="someone-elses-schema")
-        server.start()
-        try:
-            backend = SocketBackend([server.address])
-            with pytest.raises(BackendError, match="mismatch"):
-                list(backend.run_units(_echo, _payloads(1)))
-        finally:
-            server.stop()
-
-    def test_unit_error_propagates(self, worker):
-        """A unit function that raises fails the campaign (no requeue:
-        it would fail identically anywhere)."""
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        with pytest.raises(BackendError, match="intentional unit failure"):
-            list(backend.run_units(_boom, _payloads(1)))
-
-    def test_killed_worker_requeues_to_survivor(self):
-        """A worker dying mid-campaign loses nothing: its in-flight
-        unit requeues and a surviving worker recomputes it, with rows
-        identical to an undisturbed serial run."""
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            payloads = _payloads(n=6)
-            backend = SocketBackend(
-                [dying.address, survivor.address],
-                heartbeat_s=5.0,
-                unit_timeout_s=30.0,
-            )
-            out = dict(backend.run_units(_run_unit, payloads))
-            assert sorted(out) == list(range(6))
-            assert out == dict(
-                SerialBackend().run_units(_run_unit, payloads)
-            )
-            # the dying worker really did compute (and swallow) a unit
-            assert dying.units_done == 1
-            assert survivor.units_done == 6
-        finally:
-            dying.stop()
-            survivor.stop()
-
-    def test_last_worker_death_raises(self):
-        """When every worker is gone with units outstanding the
-        campaign fails loudly instead of hanging."""
-        only = WorkerServer(max_units=1)
-        only.start()
-        try:
-            backend = SocketBackend(
-                [only.address], heartbeat_s=2.0, unit_timeout_s=5.0
-            )
-            with pytest.raises(BackendError, match="lost every worker"):
-                list(backend.run_units(_run_unit, _payloads(n=4)))
-        finally:
-            only.stop()
+    def test_queue_depth_drains_while_running(self):
+        """``status`` reads the live queue from the base class: it
+        counts down as units are yielded and resets afterwards."""
+        backend = SerialBackend()
+        depths = [
+            backend.status()["queue_depth"]
+            for _ in backend.run_units(_echo, _payloads())
+        ]
+        assert depths == [2, 1, 0]
+        assert backend.status()["queue_depth"] == 0

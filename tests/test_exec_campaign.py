@@ -1,11 +1,11 @@
 """Campaign-manager tests: ordered finalization, checkpoint-on-
-complete, and the cross-backend determinism contract.
+complete, backend resolution, the warm-probe cost, and the
+cross-backend determinism contract.
 
-The acceptance chain from the service tier's design: one sweep computed
-on the serial backend, rerun on the pool backend, then rerun again over
-the socket backend -- each rerun is a 100% cache hit with byte-identical
-rows, including across a flat->sharded cache-layout migration and a
-killed socket worker.
+The acceptance chain: one sweep computed on the serial backend, its
+store demoted to the legacy flat layout, then rerun on the pool backend
+-- a 100% cache hit with byte-identical rows, migrating the store back
+to shards along the way.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ import os
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.exec import (
     CampaignRunner,
     ResultCache,
     ScenarioSpec,
     SweepExecutor,
+    content_key,
     plan_units,
 )
 from repro.exec.backends import (
@@ -27,8 +29,6 @@ from repro.exec.backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerServer,
 )
 from repro.exec.cache import SHARD_DIR
 
@@ -159,12 +159,44 @@ class TestCheckpointing:
         assert status["backend"]["backend"] == "serial"
 
 
-class TestCrossBackendChain:
-    """The acceptance criterion: serial -> pool -> socket, one shared
-    store, every rerun 100% hits and byte-identical -- including a
-    flat->sharded migration and a killed worker along the way."""
+class TestWarmProbe:
+    """A warm rerun's cost follows the units asked for, never the size
+    of the store: probing a unit must not list the store's entries
+    (``len(cache)`` does, so a truthiness test on the cache would)."""
 
-    def test_serial_pool_socket_all_hit_identically(self, tmp_path):
+    @pytest.mark.parametrize("filler_entries", [0, 48])
+    def test_warm_rerun_never_lists_the_store(
+        self, tmp_path, monkeypatch, filler_entries
+    ):
+        cache = ResultCache(tmp_path)
+        for i in range(filler_entries):
+            cache.put(content_key({"filler": i}), [{"i": i}])
+        CampaignRunner(SerialBackend(), cache=cache, chunk_size=2).run(
+            [CRASH], root_seed=0
+        )
+        assert len(cache) == filler_entries + 3
+
+        listings = []
+        entry_paths = ResultCache.entry_paths
+
+        def counted_entry_paths(store):
+            listings.append(store.root)
+            return entry_paths(store)
+
+        monkeypatch.setattr(ResultCache, "entry_paths", counted_entry_paths)
+        warm = CampaignRunner(SerialBackend(), cache=cache, chunk_size=2)
+        result = warm.run([CRASH], root_seed=0)
+        assert result.stats.cache_hits == result.stats.units_total == 3
+        assert listings == []
+        assert warm.checkpointed([CRASH], root_seed=0) == (3, 3)
+        assert listings == []
+
+
+class TestCrossBackendChain:
+    """The acceptance criterion: serial -> flat demotion -> pool on one
+    shared store, the rerun 100% hits and byte-identical."""
+
+    def test_serial_flat_pool_all_hit_identically(self, tmp_path):
         specs = [CRASH, BYZ]
         cache = ResultCache(tmp_path / "store")
 
@@ -177,62 +209,39 @@ class TestCrossBackendChain:
         # demote the entire store to the legacy flat layout: the pool
         # rerun must migrate it back transparently, at 100% hits
         _demote_to_flat(cache)
+        assert not list((cache.root / SHARD_DIR).glob("??/*.json"))
         pooled = CampaignRunner(
             PoolBackend(workers=2), cache=cache, chunk_size=2
         ).run(specs, root_seed=5)
         assert pooled.stats.cache_hits == pooled.stats.units_total
         assert canonical(pooled.rows) == baseline
+        assert not list(cache.root.glob("*.json"))
+        assert len(cache) == serial.stats.units_total
 
-        # third pass over the socket backend, worker killed mid-run:
-        # still 100% hits (nothing recomputes), still identical bytes
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            backend = SocketBackend(
-                [dying.address, survivor.address], unit_timeout_s=30.0
-            )
-            remote = CampaignRunner(
-                backend, cache=cache, chunk_size=2
-            ).run(specs, root_seed=5)
-        finally:
-            dying.stop()
-            survivor.stop()
-        assert remote.stats.cache_hits == remote.stats.units_total
-        assert canonical(remote.rows) == baseline
 
-    def test_socket_kill_and_requeue_byte_identical(self, tmp_path):
-        """Cold store + killed worker: requeued computation produces
-        the same bytes as an undisturbed serial campaign."""
-        specs = [CRASH]
-        reference = CampaignRunner(SerialBackend(), chunk_size=2).run(
-            specs, root_seed=9
-        )
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            backend = SocketBackend(
-                [dying.address, survivor.address],
-                heartbeat_s=5.0,
-                unit_timeout_s=30.0,
-            )
-            cache = ResultCache(tmp_path / "cold")
-            remote = CampaignRunner(
-                backend, cache=cache, chunk_size=2
-            ).run(specs, root_seed=9)
-        finally:
-            dying.stop()
-            survivor.stop()
-        assert dying.units_done == 1  # it really did die mid-campaign
-        assert remote.stats.cache_misses == remote.stats.units_total
-        assert canonical(remote.rows) == canonical(reference.rows)
+class _ClosingSerial(SerialBackend):
+    """A serial backend that counts :meth:`close` calls."""
+
+    def __init__(self):
+        self.closes = 0
+
+    def close(self):
+        """Record the call."""
+        self.closes += 1
 
 
 class TestExecutorFacade:
-    """SweepExecutor delegates to the campaign tier transparently."""
+    """``SweepExecutor`` is ``CampaignRunner``: it resolves its backend
+    from a name, an instance or the worker count, and closes only the
+    backends it built."""
+
+    def test_sweep_executor_is_campaign_runner(self):
+        assert SweepExecutor is CampaignRunner
+
+    def test_backend_defaults_from_workers(self):
+        assert isinstance(CampaignRunner().backend, SerialBackend)
+        pooled = CampaignRunner(workers=3).backend
+        assert isinstance(pooled, PoolBackend) and pooled.workers == 3
 
     def test_backend_name_override(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -242,17 +251,31 @@ class TestExecutorFacade:
         ).run([CRASH])
         assert canonical(a.rows) == canonical(b.rows)
         assert b.stats.cache_hits == b.stats.units_total
+        assert b.stats.wall_clock_s > 0
 
-    def test_backend_instance_override(self, tmp_path):
-        worker = WorkerServer()
-        worker.start()
-        try:
-            backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-            remote = SweepExecutor(cache=None, backend=backend).run(
-                [CRASH], root_seed=2
-            )
-        finally:
-            worker.stop()
+    def test_unknown_backend_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            SweepExecutor(backend="socket")
+
+    def test_backend_instance_override(self):
+        backend = _ClosingSerial()
+        runner = SweepExecutor(cache=None, backend=backend, workers=4)
+        assert runner.backend is backend
         local = SweepExecutor().run([CRASH], root_seed=2)
-        assert canonical(remote.rows) == canonical(local.rows)
-        assert remote.stats.workers == 1
+        result = runner.run([CRASH], root_seed=2)
+        assert canonical(result.rows) == canonical(local.rows)
+        assert result.stats.workers == 1
+
+    def test_closes_only_what_it_built(self, monkeypatch):
+        passed = _ClosingSerial()
+        SweepExecutor(backend=passed).run([CRASH])
+        assert passed.closes == 0
+
+        monkeypatch.setattr(
+            "repro.exec.campaign.make_backend",
+            lambda name, workers: _ClosingSerial(),
+        )
+        runner = SweepExecutor(backend="serial")
+        runner.run([CRASH])
+        runner.run([CRASH])
+        assert runner.backend.closes == 2

@@ -14,9 +14,11 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.exec import ResultCache
 from repro.obs.prom import parse_metrics, validate_metrics_text
 from repro.serve import CampaignService, make_server
+from repro.serve.service import MAX_UNITS_PER_SUBMISSION
 
 SWEEP_REQUEST = {
     "specs": [
@@ -134,6 +136,55 @@ class TestErrorPaths:
             post_json(f"{server}/sweeps", bad)
         assert err.value.code == 400
 
+    def test_oversized_submission_400_before_planning(
+        self, server, monkeypatch
+    ):
+        """A tiny body asking for a billion trials is refused from the
+        trial counts alone -- no unit is planned, no sweep is counted."""
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("plan_units ran for a refused submission")
+
+        monkeypatch.setattr("repro.serve.service.plan_units", no_planning)
+        monkeypatch.setattr("repro.exec.campaign.plan_units", no_planning)
+        huge = {
+            "specs": [
+                {
+                    "kind": "crash",
+                    "r": 1,
+                    "t": 1,
+                    "trials": 10**9,
+                    "protocol": "crash-flood",
+                }
+            ]
+        }
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post_json(f"{server}/sweeps", huge)
+        assert err.value.code == 400
+        error = json.loads(err.value.read())
+        assert error["type"] == "ConfigurationError"
+        assert "MAX_UNITS_PER_SUBMISSION" in error["error"]
+        assert str(MAX_UNITS_PER_SUBMISSION) in error["error"]
+        _, body = get(f"{server}/metrics")
+        fams = parse_metrics(body.decode("utf-8"))
+        assert fams["repro_sweeps_total"].samples[0].value == 0
+
+    def test_unit_limit_boundary(self):
+        """The limit counts units (ceil of trials / chunk_size), summed
+        over every spec."""
+        service = CampaignService()
+
+        def request(trials, chunk_size):
+            spec = {"kind": "crash", "r": 1, "t": 1, "trials": trials,
+                    "protocol": "crash-flood"}
+            return {"specs": [spec, spec], "chunk_size": chunk_size}
+
+        half = MAX_UNITS_PER_SUBMISSION // 2
+        service._parse_request(request(half * 3, 3))
+        service._parse_request(request(half * 3 - 2, 3))
+        with pytest.raises(ConfigurationError, match="work units"):
+            service._parse_request(request(half * 3 + 1, 3))
+
     def test_unknown_endpoint_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
             get(f"{server}/teapot")
@@ -162,6 +213,13 @@ class TestMetricsEndpoint:
         assert by_outcome["cached"] == 3  # second submission
         assert by_outcome["failed"] == 0
         assert fams["repro_trials_total"].samples[0].value == 12
+
+    def test_backend_workers_reports_configuration(self, server):
+        post_json(f"{server}/sweeps", SWEEP_REQUEST)
+        _, body = get(f"{server}/metrics")
+        fams = parse_metrics(body.decode("utf-8"))
+        samples = fams["repro_backend_workers"].samples
+        assert [s.labels["state"] for s in samples] == ["configured"]
 
     def test_healthz(self, server):
         status, body = get(f"{server}/healthz")
