@@ -8,31 +8,114 @@ upto ``t - 1`` neighbors that are also faulty": the faulty node plus its
 faulty neighbors stay within ``t``).
 
 All functions work either on the infinite grid (plain coordinates) or on a
-finite topology (pass ``topology=`` and coordinates are wrapped).
+finite topology (pass ``topology=`` and coordinates are wrapped).  They
+count through one helper, :func:`_flat_balls`, which hands out each
+closed ball as a list of flat node indices into a plain ``counts`` list:
+on a :class:`~repro.grid.torus.Torus` a ball is index arithmetic, on
+every other topology it is :func:`~repro.geometry.balls.closed_ball_points`
+mapped through a node index.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
+from operator import le
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvalidPlacementError
 from repro.exec.seeds import derive_seed
 from repro.geometry.balls import closed_ball_points
 from repro.geometry.coords import Coord
-from repro.geometry.metrics import get_metric
+from repro.geometry.metrics import Metric, get_metric
 from repro.grid.topology import Topology
+from repro.grid.torus import Torus
 
 
-def _closed_ball(
-    p: Coord, r: int, metric, topology: Optional[Topology]
-) -> List[Coord]:
-    """Closed metric ball around ``p``; wrapped when a topology is given.
+class _TorusBalls:
+    """Closed balls on a torus as row-major indices ``y * width + x``.
 
-    Thin wrapper over :func:`repro.geometry.balls.closed_ball_points` --
-    the single implementation of the budget's counting geometry.
+    A node at least ``reach`` (the largest offset component) away from
+    the wrap seam has the ball ``i + delta``; only nodes near the seam
+    take the modular form.  Ball order is ``closed_ball_points`` order:
+    the metric's offsets, then the center.
     """
-    return closed_ball_points(metric, p, r, topology)
+
+    def __init__(self, torus: Torus, r: int, metric: Metric) -> None:
+        w, h = torus.width, torus.height
+        self._w, self._h = w, h
+        self._offsets = (*metric.offsets(r), (0, 0))
+        self._deltas = [dy * w + dx for dx, dy in self._offsets]
+        reach = max(max(abs(dx), abs(dy)) for dx, dy in self._offsets)
+        self._xs = range(reach, w - reach)
+        self._ys = range(reach, h - reach)
+        self.counts: List[int] = [0] * (w * h)
+
+    def ball(self, p: Coord) -> List[int]:
+        """Flat indices of the closed ball around canonical ``p``."""
+        x, y = p
+        w = self._w
+        if x in self._xs and y in self._ys:
+            i = y * w + x
+            return [i + d for d in self._deltas]
+        h = self._h
+        return [((y + dy) % h) * w + (x + dx) % w for dx, dy in self._offsets]
+
+    def coord(self, i: int) -> Coord:
+        """The canonical coordinate of flat index ``i``."""
+        y, x = divmod(i, self._w)
+        return (x, y)
+
+
+class _IndexedBalls:
+    """Closed balls on any other topology, mapped through a node index.
+
+    Indices are handed out on first sight (``counts`` grows with them),
+    so the infinite grid, which has no node list, works the same way.
+    """
+
+    def __init__(
+        self, r: int, metric: Metric, topology: Optional[Topology]
+    ) -> None:
+        self._r = r
+        self._metric = metric
+        self._topology = topology
+        self._ids: Dict[Coord, int] = {}
+        self._coords: List[Coord] = []
+        self.counts: List[int] = []
+
+    def ball(self, p: Coord) -> List[int]:
+        """Flat indices of the closed ball around canonical ``p``."""
+        ids = self._ids
+        out = []
+        for q in closed_ball_points(self._metric, p, self._r, self._topology):
+            i = ids.get(q)
+            if i is None:
+                i = ids[q] = len(self._coords)
+                self._coords.append(q)
+                self.counts.append(0)
+            out.append(i)
+        return out
+
+    def coord(self, i: int) -> Coord:
+        """The coordinate of flat index ``i``."""
+        return self._coords[i]
+
+
+def _flat_balls(r: int, metric: Metric, topology: Optional[Topology]):
+    """The closed-ball helper all counting in this module goes through.
+
+    Returns an object with ``ball(p)`` (flat indices of the closed
+    ball around a canonical ``p``, the budget's counting geometry), a
+    zeroed ``counts`` list indexed the same way, and ``coord(i)``.
+    """
+    if isinstance(topology, Torus):
+        return _TorusBalls(topology, r, metric)
+    return _IndexedBalls(r, metric, topology)
+
+
+def _canonical(p: Coord, topology: Optional[Topology]) -> Coord:
+    return topology.canonical(p) if topology is not None else (p[0], p[1])
 
 
 def fault_counts_per_nbd(
@@ -48,19 +131,24 @@ def fault_counts_per_nbd(
     to every center within distance ``r`` of it -- the ball is symmetric,
     so "centers covering f" equals "ball around f".
     """
-    counts: Dict[Coord, int] = {}
+    balls = _flat_balls(r, get_metric(metric), topology)
+    counts = balls.counts
     seen: Set[Coord] = set()
+    first: List[int] = []
     # sorted so the returned dict's insertion order is canonical even
     # when ``faulty`` arrives as a set (counts are order-free, but
     # downstream iteration over the result should not vary per run)
     for f in sorted(faulty):
-        cf = topology.canonical(f) if topology is not None else (f[0], f[1])
+        cf = _canonical(f, topology)
         if cf in seen:
             continue
         seen.add(cf)
-        for center in _closed_ball(cf, r, metric, topology):
-            counts[center] = counts.get(center, 0) + 1
-    return counts
+        for c in balls.ball(cf):
+            if not counts[c]:
+                first.append(c)
+            counts[c] += 1
+    coord = balls.coord
+    return {coord(c): counts[c] for c in first}
 
 
 def max_faults_per_nbd(
@@ -135,29 +223,32 @@ def trim_to_budget(
     (deterministic unless an ``rng`` breaks ties).  Greedy is not optimal
     in general but the constructions only ever need a handful of removals.
     """
-    m = get_metric(metric)
-    current: Set[Coord] = {
-        topology.canonical(f) if topology is not None else (f[0], f[1])
-        for f in faulty
-    }
-    while True:
-        counts = fault_counts_per_nbd(current, r, m, topology)
-        violating = {c for c, n in counts.items() if n > t}
-        if not violating:
-            return current
+    current: Set[Coord] = {_canonical(f, topology) for f in faulty}
+    balls = _flat_balls(r, get_metric(metric), topology)
+    counts = balls.counts
+    for f in sorted(current):
+        for c in balls.ball(f):
+            counts[c] += 1
+    # a center violates when it sees a fault and more than t of them
+    floor = max(t, 0)
+    violating: Set[int] = set()
+    if max(counts, default=0) > floor:
+        violating = {c for c, n in enumerate(counts) if n > floor}
+    while violating:
         # Score each fault by how many violating neighborhoods it sits in.
-        def score(f: Coord) -> int:
-            return sum(
-                1 for c in _closed_ball(f, r, m, topology) if c in violating
-            )
-
-        ranked = sorted(current, key=lambda f: (-score(f), f))
-        if rng is not None:
-            top = score(ranked[0])
-            ties = [f for f in ranked if score(f) == top]
-            current.discard(rng.choice(ties))
-        else:
-            current.discard(ranked[0])
+        score = {
+            f: sum(1 for c in balls.ball(f) if c in violating)
+            for f in sorted(current)
+        }
+        top = max(score.values())
+        ties = [f for f, n in score.items() if n == top]
+        worst = rng.choice(ties) if rng is not None else ties[0]
+        current.discard(worst)
+        for c in balls.ball(worst):
+            counts[c] -= 1
+            if counts[c] <= floor:
+                violating.discard(c)
+    return current
 
 
 def greedy_random_placement(
@@ -175,27 +266,27 @@ def greedy_random_placement(
     not break the budget.  Incremental counting makes this
     ``O(|candidates| * |ball|)``.
     """
-    m = get_metric(metric)
     if rng is None:
         rng = random.Random(
             derive_seed(0, "repro.faults.placement.greedy_random_placement", 0)
         )
     order = list(candidates)
     rng.shuffle(order)
-    counts: Dict[Coord, int] = {}
+    balls = _flat_balls(r, get_metric(metric), topology)
+    counts = balls.counts
+    count_of = counts.__getitem__
+    full = partial(le, t)  # full(n): one more fault would exceed t
     chosen: Set[Coord] = set()
     for cand in order:
-        node = (
-            topology.canonical(cand) if topology is not None else (cand[0], cand[1])
-        )
+        node = _canonical(cand, topology)
         if node in chosen:
             continue
-        ball = _closed_ball(node, r, m, topology)
-        if any(counts.get(c, 0) + 1 > t for c in ball):
+        ball = balls.ball(node)
+        if any(map(full, map(count_of, ball))):
             continue
         chosen.add(node)
         for c in ball:
-            counts[c] = counts.get(c, 0) + 1
+            counts[c] += 1
         if target_count is not None and len(chosen) >= target_count:
             break
     return chosen

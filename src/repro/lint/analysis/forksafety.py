@@ -1,14 +1,12 @@
 """``fork-safety``: worker-submitted closures must not touch shared
 state.
 
-The sweep tier fans work units out to workers in other processes -- a
-forked ``multiprocessing`` pool, or remote hosts reached over the
-socket backend's pickle wire.  Either way the worker sees a *snapshot*
-of module state (fork copy or fresh import); anything the submitted
-closure mutates -- or reads from a module-level mutable that the parent
-may have mutated -- silently diverges between serial (``workers=1``)
-and parallel/remote runs, breaking the executor's byte-identical
-contract.
+The sweep tier fans work units out to workers in other processes (a
+forked ``multiprocessing`` pool).  The worker sees a *snapshot* of
+module state (a fork copy); anything the submitted closure mutates --
+or reads from a module-level mutable that the parent may have mutated
+-- silently diverges between serial (``workers=1``) and parallel runs,
+breaking the executor's byte-identical contract.
 
 The pass finds every function submitted across a process boundary:
 
@@ -18,8 +16,8 @@ The pass finds every function submitted across a process boundary:
 - the first argument of **any** ``.run_units(fn, payloads)`` call --
   the :class:`~repro.exec.backends.base.ExecutionBackend` protocol
   method, regardless of receiver, so a unit function handed to the
-  campaign manager is covered no matter which backend (pool, socket,
-  a future one) ends up shipping it
+  campaign manager is covered no matter which backend (the pool or a
+  future one) ends up shipping it
 
 and walks its call closure for:
 

@@ -20,8 +20,9 @@ engine with a named :class:`~repro.errors.ConfigurationError` upstream.
 Message encoding: ``("CMT", value)`` for a ``CommittedMsg`` (the raw,
 possibly unhashable value -- the kernel maps it to a value id and
 treats unhashable values as garbage, mirroring the hardened reference
-receive path) and ``("JUNK",)`` for any ``HeardMsg`` (junk to CPA:
-it only moves delivery counters and fabricator reaction counters).
+receive path).  ``HeardMsg`` frames are junk to CPA -- they only move
+delivery counters -- so a plan carries them as a count, not as
+messages.
 """
 
 from __future__ import annotations
@@ -56,12 +57,15 @@ _PLAN_TYPES = (
 class ByzantinePlan:
     """One Byzantine node's compiled behavior.
 
-    ``start_msgs`` is the ``on_start`` burst, in broadcast order;
-    ``reactive_junk`` marks a fabricator: one extra ``("JUNK",)``
-    broadcast is enqueued for every ``CommittedMsg`` delivered to it.
+    The ``on_start`` burst is ``start_msgs`` (its ``("CMT", value)``
+    messages, in broadcast order) followed by ``start_junk``
+    ``HeardMsg`` frames; ``reactive_junk``
+    marks a fabricator: one extra ``HeardMsg`` broadcast is enqueued
+    for every ``CommittedMsg`` delivered to it.
     """
 
     start_msgs: Tuple[Tuple, ...]
+    start_junk: int = 0
     reactive_junk: bool = False
 
 
@@ -153,8 +157,7 @@ def build_plans(
                 junk = _fabricator_start_junk(p, r)
                 junk_cache[key] = junk
             plans[node] = ByzantinePlan(
-                (("CMT", p.wrong_value),) + (("JUNK",),) * junk,
-                reactive_junk=True,
+                (("CMT", p.wrong_value),), start_junk=junk, reactive_junk=True
             )
         # silent types: no plan entry
     return plans

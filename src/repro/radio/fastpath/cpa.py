@@ -18,15 +18,26 @@ kernel keeps that state in dense arrays:
 Three message kinds flow: ``SRC`` (the source's one-time broadcast),
 ``CMT(vid, counts)`` (a ``CommittedMsg``; ``counts`` is False for a
 duplicitous sender's repeat or an unhashable value, both of which the
-reference receive path ignores), and ``JUNK`` (any ``HeardMsg`` --
-CPA never reads them, so fabricator floods reduce to delivery counters
-plus the fabricator's own reaction rule).
+reference receive path ignores), and junk (any ``HeardMsg``).
 
-Two sender classes keep the hot path vectorized: *relays* (exactly one
-counting ``CMT``: every committing correct node, and eager liars) fire
-per slot as one batched stencil gather; *special* senders (the source's
-``SRC + CMT`` burst, duplicitous two-value bursts, fabricator bursts
-and reactions) are few and fire per node over a single ``(K,)`` ball.
+Junk is folded per sender.  Neither CPA nor the fabricator's own
+reaction rule reads a ``HeardMsg``, so a junk send only moves counters:
+tx, rx over the sender's alive ball, fanout, observed deliveries and
+the wave-front trackers.  The kernel therefore keeps no junk messages,
+only a per-sender count of pending junk sends for this frame and the
+next: a fabricator's start flood seeds it, and each ``CommittedMsg``
+a fabricator overhears adds one reaction.  In the sender's slot all of
+its pending junk fires as one vectorized update, after its other
+messages -- the order the reference outbox holds them in, since junk
+only ever trails a start burst and a reaction is a lone junk send.
+
+Three sender classes keep the hot path vectorized: *relays* (exactly
+one counting ``CMT``: every committing correct node, eager liars and
+fabricators' start announcements) fire per slot as one batched
+stencil gather; *junk senders* fire per slot as one batched fold;
+*special* senders (the source's ``SRC + CMT`` burst, duplicitous
+two-value bursts) are few and fire per message over a single ``(K,)``
+ball.
 
 Per-sender repeat-announcement state is *global*, not per receiver: if
 a receiver processes a sender's second ``CMT`` it must have processed
@@ -38,8 +49,8 @@ The within-slot ordering freedoms are the same as the crash-flood
 kernel's: co-slotted senders have disjoint balls (>= 2r+1 apart), so
 batch-vs-special order inside a slot is unobservable, and a slot that
 would overrun the message budget falls back to a per-message scalar
-replay in node order, stopping exactly where the reference engine's
-pre-send check stops.
+replay in node order -- junk unfolded back into single sends --
+stopping exactly where the reference engine's pre-send check stops.
 """
 
 from __future__ import annotations
@@ -52,6 +63,9 @@ from repro.radio.fastpath.byzantine import ByzantinePlan
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
 from repro.radio.fastpath.stats import KernelStats, SourceTracker
+
+#: the kernel encoding of any ``HeardMsg`` (CPA never reads one)
+_JUNK = ("JUNK",)
 
 
 def run_cpa_kernel(
@@ -101,31 +115,32 @@ def run_cpa_kernel(
         return known
 
     # compile plan bursts to kernel messages: ("SRC",) /
-    # ("CMT", vid, counts) / ("JUNK",); first *hashable* CMT per sender
-    # counts (a dropped unhashable value does not consume the sender's
-    # first-announcement slot)
+    # ("CMT", vid, counts); first *hashable* CMT per sender counts (a
+    # dropped unhashable value does not consume the sender's
+    # first-announcement slot).  A plan's start junk goes to the
+    # sender's junk counter (below).
     spec_bursts: Dict[int, Tuple[Tuple, ...]] = {}
-    liar_idxs: List[int] = []
-    liar_vids: List[int] = []
+    start_junk: Dict[int, int] = {}
+    relay_idxs: List[int] = []
+    relay_vids: List[int] = []
     is_fab = np.zeros(n, dtype=bool)
     for idx in sorted(byz_plans):
         plan = byz_plans[idx]
         if plan.reactive_junk:
             is_fab[idx] = True
+        if plan.start_junk:
+            start_junk[idx] = plan.start_junk
         msgs: List[Tuple] = []
         announced = False
         for msg in plan.start_msgs:
-            if msg[0] == "CMT":
-                vid = vid_of(msg[1])
-                counts = vid >= 0 and not announced
-                announced = announced or vid >= 0
-                msgs.append(("CMT", vid, counts))
-            else:
-                msgs.append(("JUNK",))
-        if len(msgs) == 1 and msgs[0][0] == "CMT" and msgs[0][2]:
+            vid = vid_of(msg[1])
+            counts = vid >= 0 and not announced
+            announced = announced or vid >= 0
+            msgs.append(("CMT", vid, counts))
+        if len(msgs) == 1 and msgs[0][2]:
             # single counting announcement: ride the batched relay path
-            liar_idxs.append(idx)
-            liar_vids.append(msgs[0][1])
+            relay_idxs.append(idx)
+            relay_vids.append(msgs[0][1])
         elif msgs:
             spec_bursts[idx] = tuple(msgs)
 
@@ -140,15 +155,30 @@ def run_cpa_kernel(
     tx_arr = np.zeros(n, dtype=np.int64)
     rx_arr = np.zeros(n, dtype=np.int64)
 
-    # per-slot ready queues, two frames deep (this frame / next frame):
-    # relays carry (idx_array, vid_array) pairs, specials carry
-    # (idx, messages) bursts appended in enqueue (= reference outbox)
-    # order
+    # per-slot relay queues, two frames deep (this frame / next
+    # frame), of (idx_array, vid_array) pairs; special bursts are all
+    # start bursts, so they fire in frame 0 and are keyed by slot
     relay_queue: List[List] = []
     relay_next: List[List] = [[] for _ in range(num_slots)]
-    spec_queue: List[List] = []
-    spec_next: List[List] = [[] for _ in range(num_slots)]
+    spec_slots: Dict[int, List[Tuple[int, Tuple]]] = {}
     pending_total = 0
+
+    # pending junk sends, one count per sender, this frame / next frame
+    # (see the module docstring); ``junk_slots`` lists, per slot, the
+    # senders that can ever hold junk
+    junk_now = np.zeros(n, dtype=np.int64)
+    junk_next = np.zeros(n, dtype=np.int64)
+    for idx, count in start_junk.items():
+        junk_next[idx] = count
+    pending_total += sum(start_junk.values())
+    can_junk = is_fab.copy()
+    can_junk[list(start_junk)] = True
+    junkers: Dict[int, List[int]] = {}
+    for idx in np.flatnonzero(can_junk).tolist():
+        junkers.setdefault(int(slot_of[idx]), []).append(idx)
+    junk_slots = {
+        s_: np.asarray(idxs, dtype=np.int64) for s_, idxs in junkers.items()
+    }
 
     def route_relays(idxs, vids, current_slot: int) -> None:
         """Bucket fresh single-CMT relays by slot: own slot after
@@ -167,10 +197,14 @@ def run_cpa_kernel(
             target = relay_queue if s2 > current_slot else relay_next
             target[s2].append((si[a:b], vi[a:b]))
 
-    def route_special(idx: int, msgs: Tuple, current_slot: int) -> None:
-        s2 = int(slot_of[idx])
-        target = spec_queue if s2 > current_slot else spec_next
-        target[s2].append((idx, msgs))
+    def route_reactions(fabs, current_slot: int) -> None:
+        """Queue one junk reaction per fabricator in ``fabs`` (unique):
+        this frame if its slot is still ahead, else next frame."""
+        nonlocal pending_total
+        ahead = slot_of[fabs] > current_slot
+        junk_now[fabs[ahead]] += 1
+        junk_next[fabs[~ahead]] += 1
+        pending_total += int(fabs.size)
 
     def do_commits(idxs, vids, round_: int, slot: int) -> int:
         """Commit ``idxs`` to ``vids``: halt, record (None-valued
@@ -203,14 +237,14 @@ def run_cpa_kernel(
     stats.commits_by_round[-1] = 1
     for tr in trackers:
         tr.on_committed(src_arr)
-    spec_next[int(slot_of[source_idx])].append(
+    spec_slots.setdefault(int(slot_of[source_idx]), []).append(
         (source_idx, (("SRC",), ("CMT", 0, True)))
     )
     pending_total += 2
-    if liar_idxs:
-        la = np.asarray(liar_idxs, dtype=np.int64)
-        lv = np.asarray(liar_vids, dtype=np.int64)
-        pending_total += len(liar_idxs)
+    if relay_idxs:
+        la = np.asarray(relay_idxs, dtype=np.int64)
+        lv = np.asarray(relay_vids, dtype=np.int64)
+        pending_total += len(relay_idxs)
         # current_slot=-1: everything fires next frame (frame 0)
         fslots = slot_of[la]
         order = np.argsort(fslots)
@@ -221,7 +255,7 @@ def run_cpa_kernel(
         for a, b in zip(starts, ends):
             relay_next[int(ss[a])].append((si[a:b], vi[a:b]))
     for idx, msgs in spec_bursts.items():
-        spec_next[int(slot_of[idx])].append((idx, msgs))
+        spec_slots.setdefault(int(slot_of[idx]), []).append((idx, msgs))
         pending_total += len(msgs)
     stats.crashes = int((crash_rounds == 0).sum())
 
@@ -233,9 +267,27 @@ def run_cpa_kernel(
     hit_messages = False
     obs_del_round = 0
 
-    def fire_message(
-        idx: int, ball, delivered, msg: Tuple, r: int, s: int
-    ) -> None:
+    def fire_junk(senders, counts, r: int) -> None:
+        """Deliver ``counts[k]`` junk sends from each ``senders[k]``.
+
+        Junk only moves counters, so one vectorized update stands for
+        all of them; co-slotted senders have disjoint balls, so the
+        receiver scatter is exact.
+        """
+        nonlocal obs_del_round
+        tx_arr[senders] += counts
+        stats.fanout_deliveries += int(counts.sum()) * K
+        balls = lattice.balls_of(senders)
+        alive = crash_rounds[balls] > r
+        delivered = balls[alive]
+        if delivered.size:
+            per = np.broadcast_to(counts[:, None], balls.shape)[alive]
+            obs_del_round += int(per.sum())
+            rx_arr[delivered] += per
+            for tr in trackers:
+                tr.on_delivered(delivered)
+
+    def fire_message(idx: int, delivered, msg: Tuple, r: int, s: int) -> None:
         """Deliver one special-burst message (statistics + protocol)."""
         nonlocal obs_del_round, pending_total
         tx_arr[idx] += 1
@@ -254,9 +306,8 @@ def run_cpa_kernel(
             # counting or not (an unhashable value is still a
             # CommittedMsg to them)
             fabs = delivered[is_fab[delivered]]
-            for fi in fabs.tolist():
-                route_special(fi, (("JUNK",),), s)
-                pending_total += 1
+            if fabs.size:
+                route_reactions(fabs, s)
             if not msg[2]:
                 return  # repeat or unhashable: never tallies
             vid = msg[1]
@@ -289,22 +340,29 @@ def run_cpa_kernel(
             stats.crashes += int((crash_rounds == r).sum())
         relay_queue = relay_next
         relay_next = [[] for _ in range(num_slots)]
-        spec_queue = spec_next
-        spec_next = [[] for _ in range(num_slots)]
+        # every counter of the frame just run was fired and zeroed
+        junk_now, junk_next = junk_next, junk_now
         tx_round = 0
         obs_del_round = 0
         tripped = False
         for s in range(num_slots):
             rparts = relay_queue[s]
-            sparts = spec_queue[s]
-            if not rparts and not sparts:
+            sparts = spec_slots.pop(s, ())
+            junk_demand = 0
+            jsend = junk_slots.get(s)
+            if jsend is not None:
+                jcounts = junk_now[jsend]
+                jmask = jcounts > 0
+                jsend, jcounts = jsend[jmask], jcounts[jmask]
+                junk_demand = int(jcounts.sum())
+            if not rparts and not sparts and not junk_demand:
                 continue
             relay_demand = sum(p[0].size for p in rparts)
             spec_demand = sum(len(p[1]) for p in sparts)
-            demand = relay_demand + spec_demand
+            demand = relay_demand + spec_demand + junk_demand
             if budget is None or tx_total + demand <= budget:
                 # the whole slot fits in the budget: batch the relays,
-                # then walk the (few) special bursts
+                # walk the (few) special bursts, fold the junk
                 tx_total += demand
                 tx_round += demand
                 pending_total -= demand
@@ -326,9 +384,8 @@ def run_cpa_kernel(
                         for tr in trackers:
                             tr.on_delivered(delivered)
                         fabs = delivered[is_fab[delivered]]
-                        for fi in fabs.tolist():
-                            route_special(fi, (("JUNK",),), s)
-                            pending_total += 1
+                        if fabs.size:
+                            route_reactions(fabs, s)
                         act = alive & cpa_active.get(balls)
                         recv = balls[act]
                         if recv.size:
@@ -348,7 +405,10 @@ def run_cpa_kernel(
                     ball = lattice.ball_of(idx)
                     delivered = ball[crash_rounds[ball] > r]
                     for msg in msgs:
-                        fire_message(idx, ball, delivered, msg, r, s)
+                        fire_message(idx, delivered, msg, r, s)
+                if junk_demand:
+                    fire_junk(jsend, jcounts, r)
+                    junk_now[jsend] = 0
             else:
                 # budget trips inside this slot: replay it per message
                 # in node order, stopping exactly where the reference
@@ -359,6 +419,9 @@ def run_cpa_kernel(
                         by_idx.setdefault(i, []).append(("CMT", v, True))
                 for idx, msgs in sparts:
                     by_idx.setdefault(idx, []).extend(msgs)
+                if junk_demand:
+                    for idx, c in zip(jsend.tolist(), jcounts.tolist()):
+                        by_idx.setdefault(idx, []).extend([_JUNK] * c)
                 for idx in sorted(by_idx):
                     ball = lattice.ball_of(idx)
                     delivered = ball[crash_rounds[ball] > r]
@@ -369,7 +432,7 @@ def run_cpa_kernel(
                         tx_total += 1
                         tx_round += 1
                         pending_total -= 1
-                        fire_message(idx, ball, delivered, msg, r, s)
+                        fire_message(idx, delivered, msg, r, s)
                     if tripped:
                         break
             if tripped:

@@ -20,8 +20,10 @@ same grading facts.  This suite enforces that contract three ways:
    two engines (which the differential pairs cannot see) still fails.
 
 Plus regression pins for the awkward edges both backends must agree on:
-zero-round runs, all-relays-dead-from-start, and message budgets that
-trip mid-frame (``result.rounds`` pinned on both).
+zero-round runs, all-relays-dead-from-start, message budgets that
+trip mid-frame (``result.rounds`` pinned on both), and a fabricator
+point whose junk floods the kernel folds, with and without a budget
+that trips inside a fabricator burst.
 """
 
 from __future__ import annotations
@@ -367,6 +369,31 @@ def test_budget_trips_mid_frame(engine):
     assert obs["grade"]["hit_message_limit"]
     assert obs["grade"]["rounds"] == 1
     assert obs["trace"]["transmissions"] <= 3
+
+
+# The CPA kernel folds every junk message of a special burst (fabricator
+# start floods and reactions) into one counter update per sender; a slot
+# that overruns the message budget still replays message by message.
+# One fixed r=2 fabricator point pins both paths: unbudgeted, and with a
+# budget of 1833 that runs out in round 0 inside slot 6, which holds two
+# fabricator start bursts and begins after 1604 messages.
+FABRICATOR_POINT = make_byz_point(
+    strategy="fabricator", r=2, side=30, t=2, seed=3
+)
+
+
+def test_fabricator_junk_fold():
+    obs = assert_engines_agree(FABRICATOR_POINT, builder=_build_byz)
+    assert not obs["grade"]["hit_message_limit"]
+    assert obs["trace"]["transmissions"] == 9169
+
+
+def test_fabricator_budget_trips_inside_burst():
+    point = dict(FABRICATOR_POINT, max_messages=1833)
+    obs = assert_engines_agree(point, builder=_build_byz)
+    assert obs["grade"]["hit_message_limit"]
+    assert obs["grade"]["rounds"] == 1
+    assert obs["trace"]["transmissions"] == 1833
 
 
 # -- 5. scenario-axis guardrails ------------------------------------------

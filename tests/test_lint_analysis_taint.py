@@ -3,7 +3,8 @@
 The acceptance fixture is the issue's own: an unseeded
 ``random.random()`` *two calls upstream* of ``run_trial`` must be
 flagged, with the witness call path in the message.  The rest pins the
-source catalog (time, urandom, uuid, numpy.random, set iteration, ``id()``), the
+source catalog (time, urandom, uuid, numpy.random, set iteration,
+``id()``, a bound ``hash()`` but not a discarded one), the
 ``derive_seed`` barrier, and the sink catalog (``Engine.run``,
 ``build_scenario``, adversary move kernels).
 """
@@ -120,6 +121,19 @@ class TestSourceCatalog:
         )
         assert findings(report) == []
 
+
+    def test_discarded_hash_probe_is_clean(self, tmp_path):
+        report = self._lint_source_in_sink(
+            tmp_path, "hash(spec)\n    return spec"
+        )
+        assert findings(report) == []
+
+    def test_bound_hash_source(self, tmp_path):
+        report = self._lint_source_in_sink(
+            tmp_path, "x = hash(spec)\n    return x"
+        )
+        assert len(findings(report)) == 1
+        assert "hash()" in findings(report)[0].message
 
     def test_numpy_global_draw_source(self, tmp_path):
         report = self._lint_source_in_sink(
